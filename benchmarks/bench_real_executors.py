@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.jt.generation import synthetic_tree
-from repro.sched.baselines import DataParallelExecutor, LevelParallelExecutor
 from repro.sched.collaborative import CollaborativeExecutor
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.serial import SerialExecutor
@@ -53,20 +52,6 @@ def test_serial_executor_wall_clock(benchmark, workload):
 def test_collaborative_executor_wall_clock(benchmark, workload):
     tree, graph = workload
     executor = CollaborativeExecutor(num_threads=4, partition_threshold=4096)
-    stats = benchmark(lambda: executor.run(graph, PropagationState(tree)))
-    assert stats.tasks_executed == graph.num_tasks
-
-
-def test_level_parallel_executor_wall_clock(benchmark, workload):
-    tree, graph = workload
-    executor = LevelParallelExecutor(num_threads=4)
-    stats = benchmark(lambda: executor.run(graph, PropagationState(tree)))
-    assert stats.tasks_executed == graph.num_tasks
-
-
-def test_data_parallel_executor_wall_clock(benchmark, workload):
-    tree, graph = workload
-    executor = DataParallelExecutor(num_threads=4)
     stats = benchmark(lambda: executor.run(graph, PropagationState(tree)))
     assert stats.tasks_executed == graph.num_tasks
 

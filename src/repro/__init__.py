@@ -11,8 +11,9 @@ Public API highlights
   inference (network -> junction tree -> reroot -> task DAG -> propagate).
 * :mod:`repro.bn` — Bayesian networks, moralization, triangulation.
 * :mod:`repro.jt` — junction trees, synthetic generators, rerooting.
-* :mod:`repro.sched` — serial/collaborative/baseline executors (threads)
-  plus the shared-memory process executor (real multicore parallelism).
+* :mod:`repro.sched` — serial/collaborative/work-stealing executors
+  (threads) plus the shared-memory process executor (real multicore
+  parallelism).
 * :mod:`repro.simcore` — the discrete-event multicore simulator and
   scheduling policies used for the speedup experiments.
 * :mod:`repro.obs` — span tracing for every executor, Chrome-trace/
@@ -38,7 +39,6 @@ from repro.jt.generation import paper_tree, synthetic_tree, template_tree
 from repro.jt.junction_tree import Clique, JunctionTree
 from repro.jt.rerooting import reroot, reroot_optimally, select_root
 from repro.potential.table import PotentialTable
-from repro.sched.baselines import DataParallelExecutor, LevelParallelExecutor
 from repro.sched.collaborative import CollaborativeExecutor
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.serial import SerialExecutor
@@ -82,8 +82,6 @@ __all__ = [
     "ShaferShenoyEngine",
     "SerialExecutor",
     "CollaborativeExecutor",
-    "LevelParallelExecutor",
-    "DataParallelExecutor",
     "WorkStealingExecutor",
     "ProcessSharedMemoryExecutor",
     "Tracer",

@@ -2,12 +2,17 @@
 
 Subcommands
 -----------
-* ``info`` — library version and module inventory.
+* ``info`` — library version and subpackage inventory.
 * ``demo`` — a short end-to-end inference demo on a random network.
-* ``experiment {fig5,fig6,fig7,fig8,fig9,rerooting-cost,all}`` —
-  regenerate the paper's evaluation tables.
+* ``serve-demo`` — a seeded client burst through the concurrent
+  inference service (or, with ``--models``, the model registry).
+* ``stream-demo`` — concurrent DBN filtering streams, optionally durable.
+* ``recover`` — replay a durable root's journals and report what came back.
+* ``trace {report,gantt,validate}`` — inspect a Chrome-trace JSON file.
 * ``query`` — build a random network, absorb evidence, print a marginal
   or the most probable explanation.
+* ``experiment {fig5,fig6,fig7,fig8,fig9,rerooting-cost,manycore,all}`` —
+  regenerate the paper's evaluation tables.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ def _cmd_info(args) -> int:
     )
     print("subsystems: bn, potential, jt, tasks, sched, simcore, inference,")
     print("            experiments, io, obs, serve, streaming, registry,")
-    print("            integrity, durability")
+    print("            integrity, durability, models, util")
     return 0
 
 
@@ -519,55 +524,6 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _cmd_model(args) -> int:
-    from repro import models
-    from repro.inference.engine import InferenceEngine
-    from repro.inference.sensitivity import rank_findings
-
-    builders = {
-        "asia": models.asia,
-        "sprinkler": models.sprinkler,
-        "cancer": models.cancer,
-        "student": models.student,
-        "car-start": models.car_start,
-    }
-    bn, names = builders[args.name]()
-    by_name = {label: var for var, label in names.items()}
-    engine = InferenceEngine.from_network(bn)
-    evidence = {}
-    for item in args.evidence or []:
-        label, _, state = item.partition("=")
-        if label not in by_name:
-            print(f"unknown variable {label!r}; variables: "
-                  f"{', '.join(sorted(by_name))}")
-            return 1
-        evidence[by_name[label]] = int(state)
-    engine.set_evidence(evidence)
-    engine.propagate()
-    print(f"{args.name}: {bn.num_variables} variables, "
-          f"{engine.jt.num_cliques} cliques")
-    if evidence:
-        shown = ", ".join(
-            f"{names[v]}={s}" for v, s in evidence.items()
-        )
-        print(f"evidence: {shown}  (P = {engine.likelihood():.6f})")
-    for var in sorted(names):
-        if var in evidence:
-            continue
-        marginal = engine.marginal(var)
-        states = " ".join(f"{p:.4f}" for p in marginal)
-        print(f"  P({names[var]:<12}) = [{states}]")
-    if len(evidence) >= 2 and args.explain is not None:
-        target = by_name.get(args.explain)
-        if target is None or target in evidence:
-            print(f"cannot explain {args.explain!r}")
-            return 1
-        print(f"\nevidence ranked by impact on P({args.explain}):")
-        for var, impact in rank_findings(engine.jt, target, evidence):
-            print(f"  {names[var]:<12} leave-one-out KL = {impact:.4f}")
-    return 0
-
-
 def _cmd_experiment(args) -> int:
     from repro.experiments import (
         format_series_table,
@@ -870,23 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mpe", action="store_true", help="most probable explanation"
     )
 
-    model = sub.add_parser("model", help="query a classic example network")
-    model.add_argument(
-        "name",
-        choices=["asia", "sprinkler", "cancer", "student", "car-start"],
-    )
-    model.add_argument(
-        "--evidence",
-        nargs="*",
-        metavar="NAME=STATE",
-        help="evidence by variable name, e.g. smoke=1 xray=1",
-    )
-    model.add_argument(
-        "--explain",
-        metavar="NAME",
-        help="rank the evidence by impact on this variable's posterior",
-    )
-
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper experiment"
     )
@@ -917,7 +856,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "recover": _cmd_recover,
         "trace": _cmd_trace,
         "query": _cmd_query,
-        "model": _cmd_model,
         "experiment": _cmd_experiment,
     }
     return handlers[args.command](args)

@@ -7,10 +7,6 @@ tasks are ordered, interleaved, and mapped onto hardware:
 * :class:`CollaborativeExecutor` — the paper's Algorithm 2 on real Python
   threads: per-thread Allocate/Fetch/Partition/Execute modules around a
   shared global task list and per-thread local ready lists.
-* :class:`LevelParallelExecutor` — OpenMP-style level-synchronous
-  parallel-for with a barrier per level (baseline 1).
-* :class:`DataParallelExecutor` — every primitive split across all threads
-  with a fork/join per task (baseline 2).
 * :class:`WorkStealingExecutor` — per-thread deques with steal-when-empty
   (the Section 8 future-work direction).
 * :class:`ProcessSharedMemoryExecutor` — Algorithm 2 across worker
@@ -22,8 +18,9 @@ The threaded executors are GIL-bound, so they demonstrate scheduling
 correctness and load balance rather than speedup; for wall-clock speedup
 use the process executor on sufficiently large tables (see
 ``benchmarks/bench_real_executors.py``), or the multicore simulator in
-:mod:`repro.simcore`, which replays the same policies over the same task
-graphs with a calibrated cost model.
+:mod:`repro.simcore`, which replays these policies (plus the paper's
+level- and data-parallel baselines) over the same task graphs with a
+calibrated cost model.
 
 Fault tolerance: :class:`ResilientExecutor` wraps any executor in a
 degradation cascade (processes → threads → serial) with numerical health
@@ -36,11 +33,8 @@ retry with backoff, and arena-preserving pool restarts after a crash.
 from repro.sched.stats import ExecutionStats, SpanRecord
 from repro.sched.serial import SerialExecutor
 from repro.sched.collaborative import CollaborativeExecutor
-from repro.sched.baselines import DataParallelExecutor, LevelParallelExecutor
 from repro.sched.workstealing import WorkStealingExecutor
 from repro.sched.process import ProcessSharedMemoryExecutor
-from repro.sched.generic import run_dag
-from repro.sched.online import OnlineScheduler, TaskHandle
 from repro.sched.faults import (
     FaultPlan,
     FaultRecord,
@@ -56,13 +50,8 @@ __all__ = [
     "SpanRecord",
     "SerialExecutor",
     "CollaborativeExecutor",
-    "LevelParallelExecutor",
-    "DataParallelExecutor",
     "WorkStealingExecutor",
     "ProcessSharedMemoryExecutor",
-    "run_dag",
-    "OnlineScheduler",
-    "TaskHandle",
     "FaultPlan",
     "FaultRecord",
     "HealthReport",

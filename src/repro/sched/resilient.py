@@ -110,9 +110,6 @@ class ResilientExecutor:
     fallbacks:
         Tiers tried in order after the primary; defaults to
         :func:`default_cascade` of the primary.
-    health_check:
-        Scan clique tables for NaN/Inf after each tier and treat a
-        poisoned result as that tier's failure.
     logspace_fallback:
         Re-run a fully-underflowed propagation in the log domain
         (hard-evidence runs only; soft evidence is recorded and skipped).
@@ -122,7 +119,6 @@ class ResilientExecutor:
         self,
         executor=None,
         fallbacks: Optional[Sequence] = None,
-        health_check: bool = True,
         logspace_fallback: bool = True,
     ):
         from repro.sched.serial import SerialExecutor
@@ -132,7 +128,6 @@ class ResilientExecutor:
             list(fallbacks) if fallbacks is not None
             else default_cascade(self.executor)
         )
-        self.health_check = health_check
         self.logspace_fallback = logspace_fallback
 
     # ------------------------------------------------------------------ #
@@ -208,14 +203,13 @@ class ResilientExecutor:
                     name, next_name, f"{type(exc).__name__}: {exc}"))
                 stats = None
                 continue
-            if self.health_check:
-                report = check_state_health(state)
-                if not report.healthy:
-                    mark_degradation(DegradationRecord(
-                        name, next_name, f"unhealthy result: {report.summary()}"
-                    ))
-                    stats = None
-                    continue
+            report = check_state_health(state)
+            if not report.healthy:
+                mark_degradation(DegradationRecord(
+                    name, next_name, f"unhealthy result: {report.summary()}"
+                ))
+                stats = None
+                continue
             break
 
         if stats is None:

@@ -491,9 +491,6 @@ class InferenceService:
     breaker:
         The :class:`~repro.serve.breaker.CircuitBreaker` guarding the
         primary tier; a default one is built when the primary is set.
-    own_executors:
-        Close the primary/fallback executors (their worker pools) during
-        :meth:`drain`.  Leave True unless the executors are shared.
     max_batch:
         Micro-batching width: a worker that dequeues a flight drains up
         to this many *compatible* queued flights (same model, not yet
@@ -522,7 +519,6 @@ class InferenceService:
         workers: Optional[int] = None,
         max_queue: int = 32,
         breaker: Optional[CircuitBreaker] = None,
-        own_executors: bool = True,
         max_batch: int = 1,
         watchdog_grace: Optional[float] = None,
         watchdog_interval: float = 0.05,
@@ -542,7 +538,6 @@ class InferenceService:
             fallback = CollaborativeExecutor(num_threads=2)
         self.fallback = fallback
         self.breaker = breaker or CircuitBreaker()
-        self.own_executors = own_executors
         self.max_queue = max_queue
 
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
@@ -1393,10 +1388,12 @@ class InferenceService:
     # ------------------------------------------------------------------ #
 
     def drain(self, timeout: Optional[float] = None) -> ServiceReport:
-        """Stop admissions, finish queued work, report.
+        """Stop admissions, finish queued work, close executors, report.
 
-        Idempotent: later calls return the same report.  ``timeout``
-        bounds the per-worker join (None waits indefinitely).
+        The primary and fallback executors (their worker pools) are
+        closed: the service owns the executors it was given.  Idempotent:
+        later calls return the same report.  ``timeout`` bounds the
+        per-worker join (None waits indefinitely).
         """
         with self._lifecycle_lock:
             if self._report is not None:
@@ -1411,11 +1408,10 @@ class InferenceService:
             self._watchdog_stop.set()
             if self._watchdog is not None:
                 self._watchdog.join(timeout)
-            if self.own_executors:
-                for executor in (self.primary, self.fallback):
-                    close = getattr(executor, "close", None)
-                    if callable(close):
-                        close()
+            for executor in (self.primary, self.fallback):
+                close = getattr(executor, "close", None)
+                if callable(close):
+                    close()
             self._report = self._build_report()
             return self._report
 

@@ -31,13 +31,6 @@ from repro.simcore.policies import (
 )
 from repro.simcore.priority import CriticalPathPolicy
 from repro.simcore.machine import Machine
-from repro.simcore.cluster import (
-    GIGE_CLUSTER,
-    ClusterPolicy,
-    ClusterProfile,
-    partition_tree,
-)
-from repro.simcore.hetero import CELL_BE, CellPolicy, HeteroSpec
 
 __all__ = [
     "PlatformProfile",
@@ -50,13 +43,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "Machine",
-    "ClusterProfile",
-    "ClusterPolicy",
-    "GIGE_CLUSTER",
-    "partition_tree",
-    "HeteroSpec",
-    "CellPolicy",
-    "CELL_BE",
     "SerialPolicy",
     "CollaborativePolicy",
     "WorkStealingPolicy",

@@ -1,91 +1,16 @@
-"""Chow-Liu structure learning and CPD builders."""
+"""CPD builders: uniform, tabular, deterministic and noisy-OR tables."""
 
 import numpy as np
 import pytest
 
-from repro.bn.chowliu import (
-    chow_liu_tree,
-    empirical_mutual_information,
-    fit_chow_liu,
-)
 from repro.bn.cpd import (
     deterministic_cpd,
     noisy_or_cpd,
     tabular_cpd,
     uniform_cpd,
 )
-from repro.bn.generation import chain_network
 from repro.bn.network import BayesianNetwork
-from repro.bn.sampling import forward_sample
 from repro.inference.engine import InferenceEngine
-
-
-class TestMutualInformation:
-    def test_independent_columns_near_zero(self):
-        rng = np.random.default_rng(0)
-        data = rng.integers(0, 2, size=(4000, 2))
-        mi = empirical_mutual_information(data, 0, 1, [2, 2])
-        assert mi < 0.01
-
-    def test_identical_columns_equal_entropy(self):
-        rng = np.random.default_rng(1)
-        col = rng.integers(0, 2, size=4000)
-        data = np.stack([col, col], axis=1)
-        mi = empirical_mutual_information(data, 0, 1, [2, 2])
-        p = col.mean()
-        entropy = -(p * np.log(p) + (1 - p) * np.log(1 - p))
-        assert mi == pytest.approx(entropy, rel=0.01)
-
-    def test_empty_data(self):
-        assert empirical_mutual_information(
-            np.zeros((0, 2), dtype=int), 0, 1, [2, 2]
-        ) == 0.0
-
-
-class TestChowLiu:
-    def test_recovers_chain_skeleton(self):
-        truth = chain_network(6, seed=2)
-        data = forward_sample(truth, 5000, seed=2)
-        edges = chow_liu_tree(data, [2] * 6, root=0)
-        skeleton = {frozenset(e) for e in edges}
-        expected = {frozenset((i, i + 1)) for i in range(5)}
-        assert skeleton == expected
-
-    def test_tree_shape(self):
-        rng = np.random.default_rng(3)
-        data = rng.integers(0, 2, size=(500, 7))
-        edges = chow_liu_tree(data, [2] * 7)
-        assert len(edges) == 6
-        children = [c for _, c in edges]
-        assert len(set(children)) == 6  # every non-root has one parent
-
-    def test_single_variable(self):
-        assert chow_liu_tree(np.zeros((5, 1), dtype=int), [2]) == []
-
-    def test_root_choice_respected(self):
-        truth = chain_network(5, seed=4)
-        data = forward_sample(truth, 3000, seed=4)
-        edges = chow_liu_tree(data, [2] * 5, root=4)
-        children = {c for _, c in edges}
-        assert 4 not in children
-
-    def test_fit_produces_usable_network(self):
-        truth = chain_network(6, seed=5)
-        data = forward_sample(truth, 5000, seed=5)
-        learned = fit_chow_liu(data, [2] * 6)
-        assert learned.has_all_cpts()
-        engine = InferenceEngine.from_network(learned)
-        engine.set_evidence({0: 1})
-        engine.propagate()
-        got = engine.marginal(5)
-        want = truth.marginal_bruteforce(5, {0: 1})
-        assert np.allclose(got, want, atol=0.08)
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            chow_liu_tree(np.zeros((5, 3), dtype=int), [2, 2])
-        with pytest.raises(ValueError):
-            chow_liu_tree(np.zeros((5, 2), dtype=int), [2, 2], root=7)
 
 
 class TestCpdBuilders:

@@ -1,7 +1,10 @@
 """CLI smoke tests (argument parsing and handlers, no subprocesses)."""
 
+import pathlib
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -36,6 +39,17 @@ class TestHandlers:
         out = capsys.readouterr().out
         assert "PACT 2009" in out
 
+    def test_info_names_exactly_the_subpackages(self, capsys):
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        listing = out[out.index("subsystems:") + len("subsystems:"):]
+        named = {name.strip() for name in listing.split(",")}
+        root = pathlib.Path(repro.__file__).parent
+        on_disk = {
+            p.parent.name for p in root.glob("*/__init__.py")
+        }
+        assert named == on_disk
+
     def test_demo(self, capsys):
         assert main(["demo", "--variables", "10", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -68,37 +82,6 @@ class TestHandlers:
         assert main(["experiment", "rerooting-cost"]) == 0
         out = capsys.readouterr().out
         assert "Algorithm 1" in out
-
-    def test_model_prior(self, capsys):
-        assert main(["model", "sprinkler"]) == 0
-        out = capsys.readouterr().out
-        assert "P(rain" in out
-
-    def test_model_with_evidence_and_explanation(self, capsys):
-        code = main(
-            [
-                "model", "asia",
-                "--evidence", "smoke=1", "xray=1",
-                "--explain", "lung",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "evidence ranked by impact on P(lung)" in out
-
-    def test_model_unknown_variable(self, capsys):
-        assert main(["model", "asia", "--evidence", "ghost=1"]) == 1
-        assert "unknown variable" in capsys.readouterr().out
-
-    def test_model_bad_explain_target(self, capsys):
-        code = main(
-            [
-                "model", "asia",
-                "--evidence", "smoke=1", "xray=1",
-                "--explain", "smoke",
-            ]
-        )
-        assert code == 1
 
 
 class TestTraceCommands:

@@ -1,12 +1,11 @@
-"""Differential equivalence harness across ALL six executors.
+"""Differential equivalence harness across ALL four executors.
 
 Generates a battery of randomized junction trees (varying clique count,
 width, state count, branching, evidence) and asserts that every executor —
-Serial, Collaborative, LevelParallel, DataParallel, WorkStealing, and the
-shared-memory Process executor — produces beliefs within 1e-9 of each
-other, and (for trees built from Bayesian networks) of variable
-elimination, an independent inference algorithm sharing no propagation
-code.
+Serial, Collaborative, WorkStealing, and the shared-memory Process
+executor — produces beliefs within 1e-9 of each other, and (for trees
+built from Bayesian networks) of variable elimination, an independent
+inference algorithm sharing no propagation code.
 """
 
 import numpy as np
@@ -18,8 +17,6 @@ from repro.inference.variable_elimination import ve_query
 from repro.jt.generation import synthetic_tree
 from repro.sched import (
     CollaborativeExecutor,
-    DataParallelExecutor,
-    LevelParallelExecutor,
     ProcessSharedMemoryExecutor,
     SerialExecutor,
     WorkStealingExecutor,
@@ -30,13 +27,11 @@ from repro.tasks.state import PropagationState
 RTOL = 1e-9
 ATOL = 1e-12
 
-# The five parallel executors, each with partitioning exercised.  Worker
+# The three parallel executors, each with partitioning exercised.  Worker
 # counts stay small so the whole battery is cheap; correctness must not
 # depend on them.
 PARALLEL_EXECUTORS = [
     ("collaborative", lambda: CollaborativeExecutor(num_threads=3, partition_threshold=16)),
-    ("level-parallel", lambda: LevelParallelExecutor(num_threads=3)),
-    ("data-parallel", lambda: DataParallelExecutor(num_threads=3)),
     ("work-stealing", lambda: WorkStealingExecutor(num_threads=3, partition_threshold=16)),
     ("process", lambda: ProcessSharedMemoryExecutor(num_workers=2, partition_threshold=16, inline_threshold=4)),
 ]

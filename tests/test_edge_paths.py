@@ -100,16 +100,3 @@ class TestFacadeKwargs:
             CollaborativePolicy(), graph, record_trace=True
         )
         assert result.trace is not None
-
-    def test_online_weights_steer_allocation(self):
-        from repro.sched.online import OnlineScheduler
-
-        # Functional check only: heavy/light weights must not break
-        # execution or ordering.
-        with OnlineScheduler(num_threads=2) as pool:
-            heavy = pool.submit(lambda: "h", weight=100.0)
-            light = [
-                pool.submit(lambda i=i: i, weight=0.1) for i in range(20)
-            ]
-            assert heavy.result(timeout=5) == "h"
-            assert [h.result(timeout=5) for h in light] == list(range(20))

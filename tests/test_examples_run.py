@@ -36,7 +36,6 @@ class TestExamples:
         _load("medical_diagnosis").main()
         out = capsys.readouterr().out
         assert "verified against brute-force enumeration." in out
-        assert "ranked by impact" in out
 
     def test_rerooting_demo(self, capsys):
         _load("rerooting_demo").main()
@@ -48,11 +47,6 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "decoding errors: 0" in out
 
-    def test_generic_dag_scheduling(self, capsys):
-        _load("generic_dag_scheduling").main()
-        out = capsys.readouterr().out
-        assert "report:" in out
-
     def test_incremental_updates(self, capsys):
         _load("incremental_updates").main()
         out = capsys.readouterr().out
@@ -62,12 +56,6 @@ class TestExamples:
         _load("hmm_tracking").main()
         out = capsys.readouterr().out
         assert "smoothed" in out and "filtered" in out
-
-    @pytest.mark.slow
-    def test_learning_pipeline(self, capsys):
-        _load("learning_pipeline").main()
-        out = capsys.readouterr().out
-        assert "OK" in out
 
     @pytest.mark.slow
     def test_parallel_scaling(self, capsys):

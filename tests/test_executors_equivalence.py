@@ -1,10 +1,9 @@
-"""All executors must produce identical calibrated potentials."""
+"""The collaborative executor reproduces the serial reference exactly."""
 
 import numpy as np
 import pytest
 
-from repro.jt.generation import synthetic_tree, template_tree
-from repro.sched.baselines import DataParallelExecutor, LevelParallelExecutor
+from repro.jt.generation import synthetic_tree
 from repro.sched.collaborative import CollaborativeExecutor
 from repro.sched.serial import SerialExecutor
 from repro.tasks.dag import build_task_graph
@@ -84,38 +83,10 @@ class TestCollaborativeEquivalence:
         _assert_same_potentials(tree, a, b)
 
 
-class TestBaselineEquivalence:
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_level_parallel_matches_serial(self, tree, reference, threads):
-        state, _ = _run(tree, LevelParallelExecutor(num_threads=threads))
-        _assert_same_potentials(tree, reference, state)
-
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_data_parallel_matches_serial(self, tree, reference, threads):
-        state, _ = _run(tree, DataParallelExecutor(num_threads=threads))
-        _assert_same_potentials(tree, reference, state)
-
-    def test_template_tree_all_executors(self):
-        tree = template_tree(2, num_cliques=25, clique_width=4)
-        tree.initialize_potentials(np.random.default_rng(1))
-        serial, _ = _run(tree, SerialExecutor())
-        for executor in (
-            CollaborativeExecutor(num_threads=4, partition_threshold=4),
-            LevelParallelExecutor(num_threads=4),
-            DataParallelExecutor(num_threads=4),
-        ):
-            state, _ = _run(tree, executor)
-            _assert_same_potentials(tree, serial, state)
-
-
 class TestExecutorValidation:
     def test_bad_thread_count_rejected(self):
         with pytest.raises(ValueError):
             CollaborativeExecutor(num_threads=0)
-        with pytest.raises(ValueError):
-            LevelParallelExecutor(num_threads=0)
-        with pytest.raises(ValueError):
-            DataParallelExecutor(num_threads=-1)
 
     def test_bad_partition_threshold_rejected(self):
         with pytest.raises(ValueError):

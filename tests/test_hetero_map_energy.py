@@ -1,15 +1,10 @@
-"""Cell-like heterogeneous policy, marginal MAP, and energy accounting."""
+"""Energy and energy-delay accounting of simulated runs."""
 
-import numpy as np
 import pytest
 
-from repro.bn.generation import random_network
-from repro.inference.map_query import marginal_map, marginal_map_bruteforce
-from repro.jt.build import junction_tree_from_network
 from repro.jt.generation import synthetic_tree
 from repro.jt.rerooting import reroot_optimally
-from repro.simcore.hetero import CELL_BE, CellPolicy, HeteroSpec
-from repro.simcore.policies import CentralizedPolicy, CollaborativePolicy
+from repro.simcore.policies import CollaborativePolicy
 from repro.simcore.profiles import XEON
 from repro.tasks.dag import build_task_graph
 
@@ -21,91 +16,6 @@ def graph():
     )
     tree, _, _ = reroot_optimally(tree)
     return build_task_graph(tree)
-
-
-class TestCellPolicy:
-    def test_fast_workers_beat_homogeneous_centralized(self, graph):
-        """Related work in context: centralized scheduling pays off on a
-        Cell-like chip (fast workers, cheap dispatch) even though it loses
-        on a homogeneous 8-core (Section 3's argument)."""
-        cell = CellPolicy(CELL_BE).simulate(graph, XEON)
-        centralized = CentralizedPolicy().simulate(graph, XEON, 8)
-        assert cell.makespan < centralized.makespan
-
-    def test_collaborative_still_wins_on_homogeneous(self, graph):
-        slow_workers = HeteroSpec(
-            worker_count=7, worker_speedup=1.0, dispatch_seconds=40e-6
-        )
-        hetero = CellPolicy(slow_workers).simulate(graph, XEON)
-        collaborative = CollaborativePolicy().simulate(graph, XEON, 8)
-        assert collaborative.makespan < hetero.makespan
-
-    def test_core_accounting_includes_scheduler(self, graph):
-        result = CellPolicy(CELL_BE).simulate(graph, XEON)
-        assert result.num_cores == 9
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            HeteroSpec(worker_count=0, worker_speedup=1.0, dispatch_seconds=0)
-        with pytest.raises(ValueError):
-            HeteroSpec(worker_count=2, worker_speedup=0.0, dispatch_seconds=0)
-        with pytest.raises(ValueError):
-            HeteroSpec(worker_count=2, worker_speedup=1.0, dispatch_seconds=-1)
-
-
-class TestMarginalMap:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_bruteforce(self, seed):
-        bn = random_network(
-            8, max_parents=2, edge_probability=0.8, seed=seed
-        )
-        jt = junction_tree_from_network(bn)
-        assignment, score = marginal_map(jt, [0, 4])
-        brute_assignment, brute_score = marginal_map_bruteforce(
-            bn.joint_table(), [0, 4]
-        )
-        assert np.isclose(score, brute_score)
-        assert assignment == brute_assignment or np.isclose(
-            score, brute_score
-        )
-
-    def test_with_evidence(self):
-        bn = random_network(7, max_parents=2, edge_probability=0.8, seed=9)
-        jt = junction_tree_from_network(bn)
-        evidence = {1: 1}
-        assignment, score = marginal_map(jt, [3, 5], evidence)
-        _, expected = marginal_map_bruteforce(
-            bn.joint_table(), [3, 5], evidence
-        )
-        assert np.isclose(score, expected)
-        assert set(assignment) == {3, 5}
-
-    def test_differs_from_mpe_restriction_in_general(self):
-        # Marginal MAP is NOT simply the MPE restricted to the MAP set;
-        # check our implementation agrees with the sum-then-max oracle
-        # even when the two disagree (find such a case among seeds).
-        from repro.inference.mpe import max_propagate
-
-        for seed in range(30):
-            bn = random_network(
-                6, max_parents=2, edge_probability=0.8, seed=200 + seed
-            )
-            jt = junction_tree_from_network(bn)
-            mm, _ = marginal_map(jt, [0, 2])
-            mpe, _ = max_propagate(jt)
-            if (mm[0], mm[2]) != (mpe[0], mpe[2]):
-                return  # found a separating example; implementations differ
-        pytest.skip("no separating example found in seed range")
-
-    def test_validation(self):
-        bn = random_network(5, seed=0)
-        jt = junction_tree_from_network(bn)
-        with pytest.raises(ValueError):
-            marginal_map(jt, [])
-        with pytest.raises(ValueError):
-            marginal_map(jt, [0, 0])
-        with pytest.raises(ValueError):
-            marginal_map(jt, [0], {0: 1})
 
 
 class TestEnergy:

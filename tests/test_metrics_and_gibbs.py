@@ -1,10 +1,8 @@
-"""Task-graph metrics and the Gibbs-sampling baseline."""
+"""Task-graph metrics: level widths, work splits, heavy tasks, summary."""
 
 import numpy as np
 import pytest
 
-from repro.bn.generation import random_network
-from repro.bn.sampling import gibbs_sampling
 from repro.jt.generation import synthetic_tree
 from repro.tasks.dag import build_task_graph
 from repro.tasks.metrics import (
@@ -65,37 +63,3 @@ class TestMetrics:
         assert summary.parallelism == 1.0
         assert heavy_task_fraction(TaskGraph(), 1) == 0.0
 
-
-class TestGibbs:
-    def test_approaches_exact_posterior(self):
-        bn = random_network(
-            6, max_parents=2, edge_probability=0.8, seed=21
-        )
-        evidence = {0: 1}
-        estimate = gibbs_sampling(
-            bn, target=4, evidence=evidence,
-            num_samples=3000, burn_in=200, seed=21,
-        )
-        exact = bn.marginal_bruteforce(4, evidence)
-        assert np.allclose(estimate, exact, atol=0.07)
-
-    def test_prior_estimation_without_evidence(self):
-        bn = random_network(
-            5, max_parents=2, edge_probability=0.8, seed=22
-        )
-        estimate = gibbs_sampling(
-            bn, target=3, num_samples=3000, burn_in=200, seed=22
-        )
-        assert np.allclose(estimate, bn.marginal_bruteforce(3), atol=0.07)
-
-    def test_target_in_evidence_is_point_mass(self):
-        bn = random_network(4, seed=23)
-        result = gibbs_sampling(bn, 1, {1: 0}, num_samples=5, seed=0)
-        assert np.allclose(result, [1.0, 0.0])
-
-    def test_invalid_args(self):
-        bn = random_network(4, seed=24)
-        with pytest.raises(ValueError):
-            gibbs_sampling(bn, 0, num_samples=0)
-        with pytest.raises(ValueError):
-            gibbs_sampling(bn, 0, burn_in=-1)

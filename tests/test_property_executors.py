@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.inference.propagation import propagate_reference
 from repro.jt.generation import synthetic_tree
-from repro.sched.baselines import DataParallelExecutor, LevelParallelExecutor
 from repro.sched.collaborative import CollaborativeExecutor
 from repro.sched.workstealing import WorkStealingExecutor
 from repro.tasks.dag import build_task_graph
@@ -48,11 +47,7 @@ def workloads(draw):
 
 @st.composite
 def executor_configs(draw):
-    kind = draw(
-        st.sampled_from(
-            ["collaborative", "workstealing", "level", "dataparallel"]
-        )
-    )
+    kind = draw(st.sampled_from(["collaborative", "workstealing"]))
     threads = draw(st.integers(min_value=1, max_value=6))
     delta = draw(st.sampled_from([None, 2, 8, 64]))
     if kind == "collaborative":
@@ -64,13 +59,9 @@ def executor_configs(draw):
             partition_threshold=delta,
             allocation=allocation,
         )
-    if kind == "workstealing":
-        return WorkStealingExecutor(
-            num_threads=threads, partition_threshold=delta
-        )
-    if kind == "level":
-        return LevelParallelExecutor(num_threads=threads)
-    return DataParallelExecutor(num_threads=threads)
+    return WorkStealingExecutor(
+        num_threads=threads, partition_threshold=delta
+    )
 
 
 @given(workloads(), executor_configs())

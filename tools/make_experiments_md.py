@@ -136,16 +136,13 @@ heuristic in the real threaded executor.""",
     ),
     (
         "Extensions (beyond the paper)",
-        ["extension_cluster_vs_shared", "extension_manycore",
-         "robustness_seeds"],
+        ["extension_manycore", "robustness_seeds"],
         """\
-Two projections of the paper's argument: (1) the same task graph on a
-message-passing cluster (the related-work platform) scales clearly below
-shared memory — the paper's motivation quantified; (2) extrapolating the
-calibrated model to 64 cores on a fine-grained workload shows the
-shared-lock scheduler capping and then degrading while the Section 8
-work-stealing remedy keeps scaling.  A seed sweep confirms the headline
-speedup is a property of the workload class, not of one lucky seed.""",
+A projection of the paper's argument: extrapolating the calibrated model
+to 64 cores on a fine-grained workload shows the shared-lock scheduler
+capping and then degrading while the Section 8 work-stealing remedy
+keeps scaling.  A seed sweep confirms the headline speedup is a property
+of the workload class, not of one lucky seed.""",
     ),
 ]
 
