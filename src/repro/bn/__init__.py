@@ -9,7 +9,6 @@ from repro.bn.network import BayesianNetwork
 from repro.bn.generation import random_network, chain_network, naive_bayes_network
 from repro.bn.moralization import moralize
 from repro.bn.triangulation import triangulate, elimination_cliques
-from repro.bn.dsep import d_separated, markov_blanket, reachable
 from repro.bn.cpd import (
     deterministic_cpd,
     noisy_or_cpd,
@@ -26,9 +25,6 @@ __all__ = [
     "moralize",
     "triangulate",
     "elimination_cliques",
-    "d_separated",
-    "markov_blanket",
-    "reachable",
     "uniform_cpd",
     "tabular_cpd",
     "deterministic_cpd",

@@ -34,7 +34,7 @@ def _cmd_info(args) -> int:
     )
     print("subsystems: bn, potential, jt, tasks, sched, simcore, inference,")
     print("            experiments, io, obs, serve, streaming, registry,")
-    print("            integrity, durability, models, util")
+    print("            integrity, durability, util")
     return 0
 
 

@@ -378,8 +378,8 @@ class HealthReport:
     ``nan_columns[key]`` lists the columns of table ``key`` containing a
     NaN, and :meth:`poisoned_columns` unions every attribution into the
     set of cases that must not be served — the single scan
-    ``_serve_batch`` quarantines from, instead of re-scanning each
-    case's marginals per variable.
+    ``InferenceService._serve_flights`` quarantines batch columns from,
+    instead of re-scanning each case's marginals per variable.
     """
 
     nan_tables: List[object] = field(default_factory=list)

@@ -52,12 +52,13 @@ def _executor_name(executor) -> str:
     return type(executor).__name__
 
 
-def _run_tier(tier, graph, state, tracer, deadline=None):
-    """Run one tier, forwarding tracer/deadline only if the tier accepts them.
+def run_tier(tier, graph, state, tracer, deadline=None):
+    """Run one executor, forwarding tracer/deadline only if it accepts them.
 
-    Third-party executors predating the observability subsystem (or the
+    Both the engine and every cascade tier run executors through here, so
+    third-party executors predating the observability subsystem (or the
     cooperative deadline checks) keep working inside a traced,
-    deadline-bounded cascade — just untraced and unbounded.
+    deadline-bounded run — just untraced and unbounded.
     """
     if tracer is None and deadline is None:
         return tier.run(graph, state)
@@ -189,7 +190,7 @@ class ResilientExecutor:
             if i > 0:
                 self._restore(state, snapshot)
             try:
-                stats = _run_tier(tier, graph, state, tracer, deadline)
+                stats = run_tier(tier, graph, state, tracer, deadline)
             except Exception as exc:
                 from repro.sched.faults import TaskExecutionError
 

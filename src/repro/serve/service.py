@@ -40,7 +40,11 @@ from repro.integrity.checksum import TornWriteError
 from repro.obs.metrics import latency_percentiles
 from repro.obs.span import CAT_SERVE
 from repro.obs.tracer import Tracer
-from repro.sched.faults import TaskExecutionError, check_state_health
+from repro.sched.faults import (
+    HealthReport,
+    TaskExecutionError,
+    check_state_health,
+)
 from repro.sched.serial import SerialExecutor
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.report import ServiceReport
@@ -772,10 +776,7 @@ class InferenceService:
                 else [flight]
             )
             try:
-                if len(group) == 1:
-                    self._serve_flight(group[0])
-                else:
-                    self._serve_batch(group)
+                self._serve_flights(group)
             except BaseException as exc:  # never strand a client
                 for member_flight in group:
                     self._abort_flight(member_flight, exc)
@@ -832,16 +833,9 @@ class InferenceService:
             return list(flight.members)
 
     def _abort_flight(self, flight: _Flight, exc: BaseException) -> None:
-        for member in self._close_flight(flight):
-            if not member.future.done():
-                self._bump("failed")
-                self._finish(
-                    member,
-                    QueryResponse(
-                        status=STATUS_FAILED,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ),
-                )
+        self._resolve_failed(
+            self._close_flight(flight), f"{type(exc).__name__}: {exc}"
+        )
 
     def _finish(self, member: _Member, response: QueryResponse) -> None:
         """Stamp latency, record the serve span, resolve the future."""
@@ -873,21 +867,21 @@ class InferenceService:
     # Watchdog (stuck-flight detection)
     # ------------------------------------------------------------------ #
 
-    def _register_inflight(
-        self,
-        members: List[_Member],
-        deadline_at: Optional[float],
-        engine: InferenceEngine,
-    ) -> int:
-        with self._inflight_lock:
-            self._inflight_seq += 1
-            token = self._inflight_seq
-            self._inflight[token] = (members, deadline_at, engine)
-            return token
-
-    def _unregister_inflight(self, token: int) -> None:
-        with self._inflight_lock:
-            self._inflight.pop(token, None)
+    @contextmanager
+    def _inflight_session(
+        self, members: List[_Member], deadline_at: Optional[float]
+    ):
+        """Check a session out, visible to the watchdog while held."""
+        with self.pool.session() as engine:
+            with self._inflight_lock:
+                self._inflight_seq += 1
+                token = self._inflight_seq
+                self._inflight[token] = (members, deadline_at, engine)
+            try:
+                yield engine
+            finally:
+                with self._inflight_lock:
+                    self._inflight.pop(token, None)
 
     def _watchdog_loop(self, row: int) -> None:
         """Force-resolve flights stuck past deadline + grace.
@@ -937,7 +931,7 @@ class InferenceService:
                     )
 
     # ------------------------------------------------------------------ #
-    # Serving one flight
+    # Serving flights (single or micro-batched)
     # ------------------------------------------------------------------ #
 
     def _union_vars(self, members: Sequence[_Member]) -> Optional[List[int]]:
@@ -965,7 +959,7 @@ class InferenceService:
         return results
 
     def _tiers(self) -> List[Tuple[str, object, bool]]:
-        """(name, executor, breaker_guarded) cascade for one flight."""
+        """(name, executor, breaker_guarded) cascade for one group."""
         tiers: List[Tuple[str, object, bool]] = []
         if self.primary is not None:
             if self.breaker.allow():
@@ -980,149 +974,17 @@ class InferenceService:
             tiers.append(("SerialExecutor", SerialExecutor(), False))
         return tiers
 
-    def _serve_flight(self, flight: _Flight) -> None:
-        members = self._close_flight(flight)
+    def _serve_flights(self, flights: Sequence[_Flight]) -> None:
+        """Serve one dequeued group of flights through the tier cascade.
 
-        # Expired-before-start requests answer without costing a session.
-        now = time.monotonic()
-        if all(
-            m.deadline_at is not None and now >= m.deadline_at
-            for m in members
-        ):
-            self._resolve_deadline(members)
-            return
-
-        # Fast path: a previous flight with this signature already cached
-        # every marginal this one needs.
-        cached = self._cached_answer(flight.signature, members)
-        if cached is not None:
-            self._bump("single_flights")
-            self._resolve_ok(members, cached, "cache")
-            return
-
-        self._serve_members(flight, members)
-
-    def _serve_members(self, flight: _Flight, members: List[_Member]) -> None:
-        deadline_at = self._flight_deadline(members)
-        tiers = self._tiers()
-        # A half-open breaker reserved a probe slot in _tiers(); if a
-        # deadline aborts the flight before the guarded tier is even
-        # attempted, hand the slot back so probing is not starved.
-        guarded_unattempted = bool(tiers) and tiers[0][2]
-        last_error: Optional[BaseException] = None
-        with self.pool.session() as engine:
-            token = self._register_inflight(members, deadline_at, engine)
-            try:
-                engine.set_evidence(flight.evidence)
-                incremental = True
-                for name, executor, guarded in tiers:
-                    if (
-                        deadline_at is not None
-                        and time.monotonic() >= deadline_at
-                    ):
-                        if guarded_unattempted:
-                            self.breaker.release_probe()
-                        self._resolve_deadline(members)
-                        return
-                    if guarded:
-                        guarded_unattempted = False
-                    try:
-                        state = engine.propagate(
-                            executor=executor,
-                            incremental=incremental,
-                            deadline=deadline_at,
-                        )
-                    except TaskExecutionError as exc:
-                        if exc.phase == "deadline":
-                            self._resolve_deadline(members)
-                            return
-                        last_error = exc
-                        # A torn write means the shared arena (and any
-                        # state built from it) cannot be trusted:
-                        # recycle the session before its next checkout.
-                        self.pool.note_failure(
-                            engine, str(exc),
-                            poisoned=isinstance(exc, TornWriteError),
-                        )
-                        if guarded:
-                            self.breaker.record_failure(str(exc))
-                        # A failed tier may have mutated tables the
-                        # previous state shared with the incremental
-                        # plan: rebuild.
-                        incremental = False
-                        continue
-                    except Exception as exc:
-                        if (
-                            deadline_at is not None
-                            and time.monotonic() >= deadline_at
-                        ):
-                            self._resolve_deadline(members)
-                            return
-                        last_error = exc
-                        self.pool.note_failure(engine, str(exc))
-                        if guarded:
-                            self.breaker.record_failure(str(exc))
-                        incremental = False
-                        continue
-                    health = check_state_health(state)
-                    if not health.healthy:
-                        last_error = RuntimeError(
-                            f"unhealthy result from {name}: "
-                            f"{health.summary()}"
-                        )
-                        # The engine's cached state *is* the poisoned
-                        # one — the next flight's incremental plan would
-                        # build on it.  Flag for recycling.
-                        self.pool.note_failure(
-                            engine, health.summary(), poisoned=True
-                        )
-                        if guarded:
-                            self.breaker.record_failure(health.summary())
-                        incremental = False
-                        continue
-                    if guarded:
-                        self.breaker.record_success()
-                    self.pool.note_success(engine)
-                    union = self._union_vars(members)
-                    results = engine.query(
-                        vars=union if union is not None else None
-                    )
-                    self._record_stale(flight.signature, results)
-                    self._bump("single_flights")
-                    self._resolve_ok(members, results, name)
-                    return
-            finally:
-                self._unregister_inflight(token)
-
-        # Every tier failed (serial included — pathological evidence or a
-        # corrupted tree): explicit failure, never a silent wrong answer.
-        error = (
-            f"{type(last_error).__name__}: {last_error}"
-            if last_error is not None
-            else "no executor tier available"
-        )
-        for member in members:
-            if member.future.done():
-                continue
-            self._bump("failed")
-            self._finish(
-                member, QueryResponse(status=STATUS_FAILED, error=error)
-            )
-
-    # ------------------------------------------------------------------ #
-    # Serving a micro-batch of flights
-    # ------------------------------------------------------------------ #
-
-    def _serve_batch(self, flights: Sequence[_Flight]) -> None:
-        """One batched propagation answering several flights at once.
-
-        Per-flight deadlines and priorities are preserved: expired
-        flights resolve as deadline-missed, cache-served flights never
-        cost a batch column, and each member's response is split out of
-        its own batch case.  A case whose posteriors come back
-        non-finite is quarantined — its members get an explicit failure,
-        nothing poisoned is cached or served — while the rest of the
-        batch is answered exactly.
+        Expired flights resolve as deadline-missed and cache-served
+        flights never cost a session.  One live flight propagates
+        incrementally on its session's own evidence; several ride one
+        batched propagation and each member's response is split out of
+        its own batch case.  The propagation budget is the latest member
+        deadline; members whose own deadline lapses first get an
+        explicit refusal at resolution.  When every tier fails, each
+        member gets an explicit failure, never a silent wrong answer.
         """
         live: List[Tuple[_Flight, List[_Member]]] = []
         now = time.monotonic()
@@ -1134,6 +996,8 @@ class InferenceService:
             ):
                 self._resolve_deadline(members)
                 continue
+            # A previous flight with this signature already cached every
+            # marginal this one needs.
             cached = self._cached_answer(flight.signature, members)
             if cached is not None:
                 self._bump("single_flights")
@@ -1142,167 +1006,178 @@ class InferenceService:
             live.append((flight, members))
         if not live:
             return
-        if len(live) == 1:
-            flight, members = live[0]
-            self._serve_members(flight, members)
-            return
 
-        # The batch's propagation budget must accommodate every flight;
-        # members with earlier deadlines get explicit refusals at
-        # resolution, exactly like coalesced members of a single flight.
-        deadline_at: Optional[float] = 0.0
-        for _flight, members in live:
-            flight_deadline = self._flight_deadline(members)
-            if flight_deadline is None:
-                deadline_at = None
-                break
-            deadline_at = max(deadline_at, flight_deadline)
-
-        union: Optional[set] = set()
-        for _flight, members in live:
-            flight_union = self._union_vars(members)
-            if flight_union is None:
-                union = None
-                break
-            union.update(flight_union)
-        needed = sorted(union) if union is not None else self.pool.variables
-
-        tiers = self._tiers()
-        guarded_unattempted = bool(tiers) and tiers[0][2]
-        last_error: Optional[BaseException] = None
+        batched = len(live) > 1
         all_members = [m for _flight, members in live for m in members]
-        with self.pool.session() as engine:
-            token = self._register_inflight(all_members, deadline_at, engine)
-            try:
+        deadline_at = self._flight_deadline(all_members)
+        union = self._union_vars(all_members)
+        tiers = self._tiers()
+        # A half-open breaker reserved a probe slot in _tiers(); every exit
+        # that records no verdict on the guarded tier (a deadline before or
+        # during its attempt, an escaping exception) hands the slot back,
+        # so an inconclusive probe cannot starve recovery.
+        probe_pending = tiers[0][2]
+        try:
+            with self._inflight_session(all_members, deadline_at) as engine:
+                if not batched:
+                    engine.set_evidence(live[0][0].evidence)
+                incremental = True
                 for name, executor, guarded in tiers:
-                    if (
-                        deadline_at is not None
-                        and time.monotonic() >= deadline_at
-                    ):
-                        if guarded_unattempted:
-                            self.breaker.release_probe()
-                        for _flight, members in live:
-                            self._resolve_deadline(members)
+                    if self._past(deadline_at):
+                        self._resolve_deadline(all_members)
                         return
-                    if guarded:
-                        guarded_unattempted = False
                     try:
-                        state = engine.propagate_batch(
-                            [flight.evidence for flight, _members in live],
-                            executor=executor,
-                            deadline=deadline_at,
-                        )
+                        if batched:
+                            state = engine.propagate_batch(
+                                [flight.evidence for flight, _m in live],
+                                executor=executor,
+                                deadline=deadline_at,
+                            )
+                        else:
+                            state = engine.propagate(
+                                executor=executor,
+                                incremental=incremental,
+                                deadline=deadline_at,
+                            )
                     except TaskExecutionError as exc:
                         if exc.phase == "deadline":
-                            for _flight, members in live:
-                                self._resolve_deadline(members)
+                            self._resolve_deadline(all_members)
                             return
-                        last_error = exc
-                        self.pool.note_failure(
-                            engine, str(exc),
-                            poisoned=isinstance(exc, TornWriteError),
-                        )
-                        if guarded:
-                            self.breaker.record_failure(str(exc))
-                        continue
+                        # A torn write means the shared arena (and any
+                        # state built from it) cannot be trusted:
+                        # recycle the session before its next checkout.
+                        last_error, reason = exc, str(exc)
+                        poisoned = isinstance(exc, TornWriteError)
                     except Exception as exc:
-                        if (
-                            deadline_at is not None
-                            and time.monotonic() >= deadline_at
-                        ):
-                            for _flight, members in live:
-                                self._resolve_deadline(members)
+                        if self._past(deadline_at):
+                            self._resolve_deadline(all_members)
                             return
-                        last_error = exc
-                        self.pool.note_failure(engine, str(exc))
-                        if guarded:
-                            self.breaker.record_failure(str(exc))
-                        continue
-
-                    # One batch-aware health scan attributes non-finite
-                    # or underflowed tables to their batch columns —
-                    # no per-case, per-variable re-scanning.
-                    report = check_state_health(state)
-                    poisoned = report.poisoned_columns()
-                    likelihoods = np.asarray(state.likelihood()).reshape(-1)
-                    finite = np.isfinite(likelihoods)
-                    healthy = [
-                        bool(finite[i]) and i not in poisoned
-                        for i in range(len(live))
-                    ]
-                    if not any(healthy):
-                        last_error = RuntimeError(
-                            f"every batch case from {name} was non-finite"
-                        )
-                        self.pool.note_failure(
-                            engine, "fully poisoned batch result"
-                        )
-                        if guarded:
-                            self.breaker.record_failure(
-                                "fully poisoned batch result"
-                            )
-                        continue
-                    rows = {var: state.marginal(var) for var in needed}
-                    if guarded:
-                        self.breaker.record_success()
-                    if all(healthy):
-                        # propagate_batch leaves the session's cached
-                        # single-case state untouched, so a partially
-                        # quarantined batch is a strike, not a poisoning.
-                        self.pool.note_success(engine)
+                        last_error, reason, poisoned = exc, str(exc), False
                     else:
-                        self.pool.note_failure(
-                            engine,
-                            f"batch columns quarantined: "
-                            f"{sorted(i for i in range(len(live)) if not healthy[i])}",
-                        )
-                    for i, (flight, members) in enumerate(live):
-                        if not healthy[i]:
-                            self._bump("quarantined")
-                            for member in members:
-                                if member.future.done():
-                                    continue
-                                self._bump("failed")
-                                self._finish(
-                                    member,
-                                    QueryResponse(
-                                        status=STATUS_FAILED,
-                                        error=(
-                                            "batch case quarantined: "
-                                            "non-finite posterior"
-                                        ),
-                                    ),
-                                )
-                            continue
-                        results = {var: rows[var][i] for var in needed}
-                        for var, values in results.items():
-                            self.pool.cache.put_marginal(
-                                flight.signature, var, values
+                        report = check_state_health(state)
+                        if batched:
+                            healthy, likelihoods = self._healthy_columns(
+                                report, state, len(live)
                             )
-                        self.pool.cache.put_likelihood(
-                            flight.signature, float(likelihoods[i])
-                        )
-                        self._record_stale(flight.signature, results)
-                        self._bump("batched_flights")
-                        self._resolve_ok(members, results, name, batched=True)
-                    self._bump("batches")
-                    return
-            finally:
-                self._unregister_inflight(token)
+                            served = any(healthy)
+                        else:
+                            served = report.healthy
+                        if served:
+                            if guarded:
+                                self.breaker.record_success()
+                                probe_pending = False
+                            if batched:
+                                self._resolve_columns(
+                                    engine, live, state, healthy,
+                                    likelihoods, union, name,
+                                )
+                            else:
+                                self.pool.note_success(engine)
+                                results = engine.query(vars=union)
+                                self._record_stale(
+                                    live[0][0].signature, results
+                                )
+                                self._bump("single_flights")
+                                self._resolve_ok(all_members, results, name)
+                            return
+                        if batched:
+                            reason = "fully poisoned batch result"
+                            last_error = RuntimeError(
+                                f"every batch case from {name} was non-finite"
+                            )
+                            poisoned = False
+                        else:
+                            # The engine's cached state *is* the poisoned
+                            # one — the next flight's incremental plan
+                            # would build on it.
+                            reason = report.summary()
+                            last_error = RuntimeError(
+                                f"unhealthy result from {name}: {reason}"
+                            )
+                            poisoned = True
+                    self.pool.note_failure(engine, reason, poisoned=poisoned)
+                    if guarded:
+                        self.breaker.record_failure(reason)
+                        probe_pending = False
+                    # A failed tier may have mutated tables the previous
+                    # state shared with the incremental plan: rebuild.
+                    incremental = False
+        finally:
+            if probe_pending:
+                self.breaker.release_probe()
 
-        error = (
-            f"{type(last_error).__name__}: {last_error}"
-            if last_error is not None
-            else "no executor tier available"
+        # Every tier failed (serial included — pathological evidence or a
+        # corrupted tree): explicit failure, never a silent wrong answer.
+        self._resolve_failed(
+            all_members, f"{type(last_error).__name__}: {last_error}"
         )
-        for _flight, members in live:
-            for member in members:
-                if member.future.done():
-                    continue
-                self._bump("failed")
-                self._finish(
-                    member, QueryResponse(status=STATUS_FAILED, error=error)
+
+    @staticmethod
+    def _healthy_columns(
+        report: HealthReport, state, cases: int
+    ) -> Tuple[List[bool], np.ndarray]:
+        """Per-case verdicts of a batched state, and its likelihoods.
+
+        The batch-aware health scan already attributes non-finite or
+        underflowed tables to their batch columns — no per-case,
+        per-variable re-scanning; a non-finite likelihood also fails its
+        case.
+        """
+        poisoned = report.poisoned_columns()
+        likelihoods = np.asarray(state.likelihood()).reshape(-1)
+        finite = np.isfinite(likelihoods)
+        healthy = [bool(finite[i]) and i not in poisoned for i in range(cases)]
+        return healthy, likelihoods
+
+    def _resolve_columns(
+        self,
+        engine: InferenceEngine,
+        live: Sequence[Tuple[_Flight, List[_Member]]],
+        state,
+        healthy: Sequence[bool],
+        likelihoods: np.ndarray,
+        union: Optional[List[int]],
+        tier: str,
+    ) -> None:
+        """Answer each flight from its batch column, quarantining bad ones.
+
+        A quarantined case's members get an explicit failure and nothing
+        of it is cached or served; the rest of the batch is answered
+        exactly.
+        """
+        needed = union if union is not None else self.pool.variables
+        rows = {var: state.marginal(var) for var in needed}
+        quarantined = [i for i, ok in enumerate(healthy) if not ok]
+        if quarantined:
+            # propagate_batch leaves the session's cached single-case
+            # state untouched, so a partially quarantined batch is a
+            # strike, not a poisoning.
+            self.pool.note_failure(
+                engine, f"batch columns quarantined: {quarantined}"
+            )
+        else:
+            self.pool.note_success(engine)
+        for i, (flight, members) in enumerate(live):
+            if not healthy[i]:
+                self._bump("quarantined")
+                self._resolve_failed(
+                    members, "batch case quarantined: non-finite posterior"
                 )
+                continue
+            results = {var: rows[var][i] for var in needed}
+            for var, values in results.items():
+                self.pool.cache.put_marginal(flight.signature, var, values)
+            self.pool.cache.put_likelihood(
+                flight.signature, float(likelihoods[i])
+            )
+            self._record_stale(flight.signature, results)
+            self._bump("batched_flights")
+            self._resolve_ok(members, results, tier, batched=True)
+        self._bump("batches")
+
+    @staticmethod
+    def _past(deadline_at: Optional[float]) -> bool:
+        return deadline_at is not None and time.monotonic() >= deadline_at
 
     @staticmethod
     def _flight_deadline(members: Sequence[_Member]) -> Optional[float]:
@@ -1368,6 +1243,15 @@ class InferenceService:
                     coalesced=i > 0,
                     batched=batched,
                 ),
+            )
+
+    def _resolve_failed(self, members: Sequence[_Member], error: str) -> None:
+        for member in members:
+            if member.future.done():
+                continue
+            self._bump("failed")
+            self._finish(
+                member, QueryResponse(status=STATUS_FAILED, error=error)
             )
 
     def _resolve_deadline(self, members: Sequence[_Member]) -> None:

@@ -1047,3 +1047,50 @@ class TestAbandonedProbeRelease:
         assert breaker.allow()
         breaker.release_probe()
         service.drain()
+
+    def test_deadline_during_probe_attempt_releases_the_slot(
+        self, serve_tree
+    ):
+        class OverrunningPrimary:
+            """Overruns its first run's deadline, then serves normally."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def run(self, graph, state, tracer=None, deadline=None):
+                self.calls += 1
+                if self.calls == 1:
+                    time.sleep(max(0.0, deadline - time.monotonic()) + 0.05)
+                    raise TaskExecutionError(
+                        "deadline exceeded", phase="deadline"
+                    )
+                return SerialExecutor().run(graph, state, deadline=deadline)
+
+        clockbox = [0.0]
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=5.0, clock=lambda: clockbox[0]
+        )
+        primary = OverrunningPrimary()
+        service = make_service(
+            serve_tree,
+            primary=primary,
+            breaker=breaker,
+            workers=1,
+            sessions=1,
+        )
+        breaker.record_failure("seeded failure")
+        clockbox[0] = 5.0  # the open window elapses: next allow() probes
+
+        response = service.query(delta={0: 1}, vars=[1], deadline=0.2)
+        assert response.status == "deadline"
+        assert breaker.state == "half-open"
+        # The probe ended without a verdict, so its slot was handed back.
+        assert breaker._probes_in_flight == 0
+
+        # The next request probes the primary again, not the fallback.
+        response = service.query(delta={1: 1}, vars=[1], deadline=30.0)
+        assert response.status == "ok"
+        report = service.drain()
+        assert primary.calls == 2
+        assert report.breaker_short_circuits == 0
+        assert breaker.state == "closed"

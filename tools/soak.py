@@ -756,7 +756,9 @@ def phase_f(seed: int, duration: float, failures: List[str]):
       oracle at 1e-9 (exactness survives the crash),
     * every acked seq must be applied in the recovered state (no acked
       tick lost — the write-ahead journal held),
-    * no seq may be acked by two incarnations (no double-ack),
+    * every schedule seq is settled exactly once: acked to a client by one
+      incarnation, or recovered/dropped by one recovery (a tick journaled
+      but killed mid-execution is never handed to a client again),
     * a deliberately torn journal tail must be truncated, not trusted.
     """
     print("== phase F: process crash + journal recovery (SIGKILL) ==")
@@ -770,6 +772,9 @@ def phase_f(seed: int, duration: float, failures: List[str]):
     schedule = harness.build_schedule(seed, ticks)
 
     all_acked: Dict[int, List[float]] = {}
+    # Seqs a recovery settled internally: replayed with a durable
+    # "recovered" ack, or dropped with a durable "dropped" ack.
+    settled: Dict[int, str] = {}
 
     def record_acks(acks, cycle: str) -> None:
         for ack in acks:
@@ -780,6 +785,15 @@ def phase_f(seed: int, duration: float, failures: List[str]):
                     f"incarnations — double-ack"
                 )
             all_acked[seq] = ack["m"]
+
+    def record_recovery(recovered, cycle: str) -> None:
+        for seq in recovered["recovered_seqs"] + recovered["dropped_seqs"]:
+            if seq in settled:
+                failures.append(
+                    f"phase F {cycle}: seq {seq} already settled by the "
+                    f"{settled[seq]} recovery"
+                )
+            settled[seq] = cycle
 
     # Cycle 1: kill after ~1/3 of the schedule.
     proc = harness.spawn_child(root, seed, ticks)
@@ -830,6 +844,7 @@ def phase_f(seed: int, duration: float, failures: List[str]):
                 "phase F cycle 2: injected torn tail was not truncated "
                 f"(torn_bytes={recovered['torn_bytes']})"
             )
+        record_recovery(recovered, "cycle 2")
     failures.extend(harness.verify_acks(dbn, schedule, acks))
     record_acks(acks, "cycle 2")
 
@@ -839,17 +854,29 @@ def phase_f(seed: int, duration: float, failures: List[str]):
     proc.wait()
     if not done:
         failures.append("phase F cycle 3: child never finished cleanly")
+    if recovered is None:
+        failures.append("phase F cycle 3: child reported no recovery")
+    else:
+        record_recovery(recovered, "cycle 3")
     failures.extend(harness.verify_acks(dbn, schedule, acks))
     record_acks(acks, "cycle 3")
-    if done and len(all_acked) != ticks:
+    reacked = sorted(set(all_acked) & set(settled))
+    if reacked:
         failures.append(
-            f"phase F: {len(all_acked)} of {ticks} ticks acked across "
-            f"all incarnations — schedule did not complete exactly once"
+            f"phase F: recovered/dropped seqs {reacked} were also acked to "
+            f"a client — double-ack"
+        )
+    unsettled = sorted(set(range(ticks)) - set(all_acked) - set(settled))
+    if done and unsettled:
+        failures.append(
+            f"phase F: seqs {unsettled} were neither acked nor "
+            f"recovered/dropped — schedule did not complete exactly once"
         )
     shutil.rmtree(root, ignore_errors=True)
     print(
-        f"(killed 2 children; {len(all_acked)}/{ticks} ticks acked "
-        f"exactly once, all exact at 1e-9)"
+        f"(killed 2 children; {len(all_acked)}/{ticks} ticks acked and "
+        f"{len(settled)} recovered/dropped, each exactly once; every ack "
+        f"exact at 1e-9)"
     )
 
 
